@@ -2,9 +2,10 @@
 
 The sweep follows the greedy truncation schedule: run until the fidelity to
 the target would fall below the threshold, and keep the circuit from the
-step before.  Tables compare the adaptive variable-width circuit against
-the capped-width-2 single-layer baseline and the 2^Q entangling-gate
-reference cost of isometric decomposition.
+step before.  The schedule is computed no further than the first state
+below the lowest threshold asked for.  Tables compare the adaptive
+variable-width circuit against the capped-width-2 single-layer baseline and
+the 2^Q entangling-gate reference cost of isometric decomposition.
 """
 
 from __future__ import annotations
@@ -121,14 +122,26 @@ def generate(spec: TargetSpec) -> mpslib.AmplitudeVector:
 
 
 def greedy_trajectory(
-    target: mpslib.AmplitudeVector, start: mpslib.MpsState | None = None
+    target: mpslib.AmplitudeVector,
+    start: mpslib.MpsState | None = None,
+    f_min: float = 0.0,
 ) -> list[tuple[mpslib.MpsState, float]]:
-    """All states along the greedy truncation schedule with their fidelities."""
+    """States along the greedy truncation schedule with their fidelities.
+
+    The schedule stops after the first state whose fidelity falls below
+    ``f_min``: that state is kept, so the crossing is visible, and nothing
+    after it is computed.  A state below ``f_min`` is below every threshold
+    t >= ``f_min`` too, and :func:`_pick` stops at the first crossing, so it
+    picks the same state from this prefix as from the full schedule for
+    every such t.  The default of 0 runs down to a product state.
+    """
     state = start if start is not None else mpslib.decompose(target)
-    traj = [(state, mpslib.fidelity(mpslib.reconstruct(state), target))]
-    while (step := mpslib.next_truncation(state)) is not None:
+    fid = mpslib.fidelity(mpslib.reconstruct(state), target)
+    traj = [(state, fid)]
+    while fid >= f_min and (step := mpslib.next_truncation(state)) is not None:
         state = mpslib.apply_truncation(state, step)
-        traj.append((state, mpslib.fidelity(mpslib.reconstruct(state), target)))
+        fid = mpslib.fidelity(mpslib.reconstruct(state), target)
+        traj.append((state, fid))
     return traj
 
 
@@ -149,15 +162,16 @@ def sweep_to_threshold(
     if not 0 < f_min <= 1:
         raise InvalidSpec(f"fidelity threshold {f_min} outside (0, 1]")
     spec = TargetSpec(kind="file", num_qubits=target.num_qubits, params={})
-    traj = greedy_trajectory(target)
-    state, _ = _pick(traj, f_min)
+    entropy = mpslib.mean_normalized_bipartite_entropy(target).mean
+    state, _ = _pick(greedy_trajectory(target, f_min=f_min), f_min)
     circ = circlib.synthesize(state)
-    record = _record(spec, target, state, circ, "adaptive", f_min, feasible=True)
+    record = _record(spec, entropy, target, state, circ, "adaptive", f_min, True)
     return circ, record
 
 
-def _record(spec, target, state, circ, method, threshold, feasible) -> BenchRecord:
-    entropy = mpslib.mean_normalized_bipartite_entropy(target).mean
+def _record(
+    spec, entropy, target, state, circ, method, threshold, feasible
+) -> BenchRecord:
     return BenchRecord(
         spec=spec,
         entropy=entropy,
@@ -176,23 +190,25 @@ def _eval_spec(args) -> list[BenchRecord]:
     spec, thresholds = args
     target = generate(spec)
     entropy = mpslib.mean_normalized_bipartite_entropy(target).mean
-    adaptive = greedy_trajectory(target)
+    f_min = min(thresholds)
+    adaptive = greedy_trajectory(target, f_min=f_min)
     q = target.num_qubits
     capped_start = mpslib.decompose(target, rank_caps=[2] * (q - 1))
-    capped = greedy_trajectory(target, start=capped_start)
+    capped = greedy_trajectory(target, start=capped_start, f_min=f_min)
+
+    def record(state, method, t, feasible):
+        circ = circlib.synthesize(state)
+        return _record(spec, entropy, target, state, circ, method, t, feasible)
+
     records = []
     for t in thresholds:
         state, _ = _pick(adaptive, t)
-        records.append(
-            _record(spec, target, state, circlib.synthesize(state), "adaptive", t, True)
-        )
+        records.append(record(state, "adaptive", t, True))
         # within the cap-2 family only 2 -> 1 drops exist; if even the
         # untruncated capped state misses the threshold, flag the row
         feasible = capped[0][1] >= t
         state, _ = _pick(capped, t) if feasible else capped[0]
-        records.append(
-            _record(spec, target, state, circlib.synthesize(state), "capped2", t, feasible)
-        )
+        records.append(record(state, "capped2", t, feasible))
         records.append(
             BenchRecord(
                 spec=spec,

@@ -52,7 +52,7 @@ def _load_amplitudes(path: str) -> mpslib.AmplitudeVector:
         print(
             f"warning: input norm {av.norm:.9g} != 1, normalizing", file=sys.stderr
         )
-        av = mpslib.AmplitudeVector(av.num_qubits, av.amps / av.norm)
+        av = mpslib.AmplitudeVector.from_array(av.amps, normalize=True)
     return av
 
 

@@ -6,7 +6,7 @@ class MpsPrepError(Exception):
 
 
 class InvalidMatrix(MpsPrepError):
-    """Matrix input contains NaN/Inf or has an illegal shape."""
+    """Matrix or vector input contains NaN/Inf or has an illegal shape."""
 
 
 class NumericalFailure(MpsPrepError):

@@ -39,10 +39,10 @@ class SvdResult:
 def svd(m: np.ndarray) -> SvdResult:
     """Thin SVD with deterministic phases.
 
-    Each left singular vector is rotated so its largest-magnitude entry is
-    real and positive (the compensating phase goes into the matching row of
-    ``vh``), which makes downstream gate synthesis reproducible across runs
-    and platforms.
+    Each left singular vector is rotated so its largest-magnitude entry
+    (the first one on ties) is real and positive (the compensating phase
+    goes into the matching row of ``vh``), which makes downstream gate
+    synthesis reproducible across runs and platforms.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
@@ -55,16 +55,19 @@ def svd(m: np.ndarray) -> SvdResult:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     u = np.ascontiguousarray(u)
     vh = np.ascontiguousarray(vh)
-    for k in range(s.size):
-        col = u[:, k]
-        pivot = int(np.argmax(np.abs(col)))
-        a = col[pivot]
-        if a != 0:
-            phase = a / abs(a)
-            u[:, k] = col / phase
-            # keep the pivot entry exactly real
-            u[pivot, k] = abs(a)
-            vh[k, :] *= phase
+    cols = np.arange(s.size)
+    pivots = np.argmax(np.abs(u), axis=0)
+    a = u[pivots, cols]
+    # hypot, not np.abs: it rounds like abs() of a complex scalar, so the
+    # phases match a column-by-column gauge fix bit for bit
+    mag = np.hypot(a.real, a.imag)
+    nz = mag != 0
+    phase = np.ones_like(a)
+    phase[nz] = a[nz] / mag[nz]
+    u /= phase
+    # keep the pivot entries exactly real
+    u[pivots[nz], cols[nz]] = mag[nz]
+    vh *= phase[:, None]
     return SvdResult(u=u, s=s, vh=vh)
 
 

@@ -25,12 +25,15 @@ from .errors import (
     CorruptMps,
     DimensionMismatch,
     InfeasibleRanks,
+    InvalidMatrix,
     NotNormalized,
     StaleStep,
 )
 
 NORM_TOL = 1e-10
 CANONICAL_TOL = 1e-10
+#: Singular-value ratios closer than this count as tied in next_truncation.
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,14 +53,18 @@ class AmplitudeVector:
 
     @classmethod
     def from_array(cls, values, normalize: bool = False) -> "AmplitudeVector":
+        """Validated vector: power-of-two length, finite entries, nonzero
+        norm; divided by its norm when ``normalize`` is set."""
         amps = np.asarray(values, dtype=complex).reshape(-1)
         q = int(round(math.log2(amps.size))) if amps.size else 0
         if amps.size == 0 or 2**q != amps.size:
             raise DimensionMismatch(f"length {amps.size} is not a power of two")
+        if not np.all(np.isfinite(amps)):
+            raise InvalidMatrix("amplitudes contain NaN or Inf entries")
+        norm = np.linalg.norm(amps)
+        if not 0 < norm < math.inf:  # zero, or over/underflowed in the sum
+            raise NotNormalized(f"amplitude norm {float(norm)!r} cannot be normalized")
         if normalize:
-            norm = np.linalg.norm(amps)
-            if norm == 0:
-                raise NotNormalized("cannot normalize the zero vector")
             amps = amps / norm
         return cls(num_qubits=q, amps=amps)
 
@@ -92,6 +99,12 @@ class MpsState:
     cores: tuple[np.ndarray, ...]
     right_canonical: bool = True
     truncation_log: tuple[TruncationStep, ...] = field(default_factory=tuple)
+    #: Schmidt coefficients of every bond, left by the canonicalization
+    #: sweep that built the state; None when unknown (a deserialized or
+    #: hand-built state), in which case :func:`bond_spectra` recomputes them.
+    spectra: tuple[np.ndarray, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         cores = tuple(np.asarray(c, dtype=complex) for c in self.cores)
@@ -146,13 +159,21 @@ def _validate_caps(caps, num_qubits: int) -> tuple[int, ...]:
     return caps
 
 
-def _right_canonicalize(cores: list[np.ndarray]) -> tuple[list[np.ndarray], float]:
+def _right_canonicalize(
+    cores: list[np.ndarray],
+) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
     """Sweep right to left, leaving every core but the first row-orthonormal.
 
-    Numerically zero singular values are pruned.  Returns the state norm;
-    the first core is rescaled to unit Frobenius norm.
+    Numerically zero singular values are pruned, and the first core is
+    rescaled to unit Frobenius norm.  Every core but the last must be
+    left-orthonormal on entry: then, when the sweep reaches core n, the
+    state is in mixed-canonical form about bond n - 1, so the singular
+    values of that SVD, divided by the final norm, are the Schmidt spectrum
+    of the normalized state at that bond (Schollwoeck, Ann. Phys. 326, 96
+    (2011), section 4).  Returns the cores and these spectra, bond 1 first.
     """
     cores = list(cores)
+    spectra: list[np.ndarray] = []
     for n in range(len(cores) - 1, 0, -1):
         left, _, right = cores[n].shape
         res = linalg.svd(cores[n].reshape(left, 2 * right))
@@ -160,11 +181,12 @@ def _right_canonicalize(cores: list[np.ndarray]) -> tuple[list[np.ndarray], floa
         cores[n] = res.vh[:k].reshape(k, 2, right)
         carry = res.u[:, :k] * res.s[:k]
         cores[n - 1] = np.tensordot(cores[n - 1], carry, axes=([2], [0]))
+        spectra.append(res.s[:k])
     norm = float(np.linalg.norm(cores[0]))
     if norm == 0:
         raise CorruptMps("state has zero norm")
     cores[0] = cores[0] / norm
-    return cores, norm
+    return cores, tuple(s / norm for s in reversed(spectra))
 
 
 def decompose(target: AmplitudeVector, rank_caps=None) -> MpsState:
@@ -193,8 +215,8 @@ def decompose(target: AmplitudeVector, rank_caps=None) -> MpsState:
         rest = res.s[:k, None] * res.vh[:k]
     cores.append(rest.reshape(rest.shape[0], 2, 1))
 
-    cores, _ = _right_canonicalize(cores)
-    return MpsState(cores=tuple(cores), right_canonical=True)
+    cores, spectra = _right_canonicalize(cores)
+    return MpsState(cores=tuple(cores), right_canonical=True, spectra=spectra)
 
 
 def reconstruct(mps: MpsState) -> AmplitudeVector:
@@ -226,7 +248,10 @@ def bond_spectra(mps: MpsState) -> list[np.ndarray]:
     """Schmidt coefficients across every bond of the current state.
 
     Computed with a left-orthogonalizing sweep; valid because everything to
-    the right of the active bond is right-canonical.
+    the right of the active bond is right-canonical.  States made by
+    :func:`decompose` and :func:`apply_truncation` already carry these
+    spectra (``MpsState.spectra``); this is the reference for them and the
+    fallback for states that carry none.
     """
     spectra: list[np.ndarray] = []
     carry = np.ones((1, 1), dtype=complex)
@@ -244,10 +269,15 @@ def next_truncation(mps: MpsState) -> TruncationStep | None:
 
     The candidate with the smallest ratio of smallest to largest singular
     value wins; a bond is feasible only if the reduced dimension still
-    satisfies left <= 2 * right at that core.  Ties go to the leftmost bond.
+    satisfies left <= 2 * right at that core.  Ties go to the leftmost bond:
+    a ratio replaces the best so far only when it is smaller by more than
+    ``TIE_TOL``, so that rounding noise in the spectra cannot reorder
+    ratios that are equal in exact arithmetic.  Uses the spectra stored on
+    the state and computes them with :func:`bond_spectra` only when the
+    state carries none.
     """
     dims = mps.bond_dims
-    spectra = bond_spectra(mps)
+    spectra = mps.spectra if mps.spectra is not None else bond_spectra(mps)
     best: TruncationStep | None = None
     for i, s in enumerate(spectra):
         r = dims[i]
@@ -257,7 +287,7 @@ def next_truncation(mps: MpsState) -> TruncationStep | None:
         if left > 2 * (r - 1):
             continue
         ratio = float(s[r - 1] / s[0]) if s[0] > 0 else 0.0
-        if best is None or ratio < best.dropped_relative_sigma:
+        if best is None or ratio < best.dropped_relative_sigma - TIE_TOL:
             best = TruncationStep(
                 bond_index=i + 1,
                 old_rank=r,
@@ -306,11 +336,12 @@ def apply_truncation(mps: MpsState, step: TruncationStep) -> MpsState:
         carry = res.s[:k, None] * res.vh[:k]
     cores[q - 1] = np.tensordot(carry, cores[q - 1], axes=([1], [0]))
 
-    cores, _ = _right_canonicalize(cores)
+    cores, spectra = _right_canonicalize(cores)
     return MpsState(
         cores=tuple(cores),
         right_canonical=True,
         truncation_log=mps.truncation_log + (step,),
+        spectra=spectra,
     )
 
 

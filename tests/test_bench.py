@@ -74,6 +74,74 @@ class TestTrajectory:
             assert len(state.truncation_log) == k
 
 
+class TestEarlyStop:
+    SPECS = [
+        bench.TargetSpec("dense_random", 6, {"seed": 3}),
+        bench.TargetSpec("sparse_random", 7, {"seed": 5, "sparsity": 0.8}),
+        bench.TargetSpec("normal", 6),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_prefix_of_full_trajectory(self, spec, capped):
+        target = bench.generate(spec)
+        q = target.num_qubits
+        start = mps.decompose(target, rank_caps=[2] * (q - 1)) if capped else None
+        full = bench.greedy_trajectory(target, start=start)
+        fids = sorted({f for _, f in full})
+        lengths = set()
+        for f_min in (0.999, 0.95, 0.9, 0.5, fids[0], fids[len(fids) // 2]):
+            early = bench.greedy_trajectory(target, start=start, f_min=f_min)
+            lengths.add(len(early))
+            assert len(early) <= len(full)
+            for (a, fa), (b, fb) in zip(early, full):
+                assert fa == fb
+                assert a.truncation_log == b.truncation_log
+                assert all(np.array_equal(x, y) for x, y in zip(a.cores, b.cores))
+            # stops right after the first state below f_min, or at the end
+            assert all(f >= f_min for _, f in early[:-1])
+            assert early[-1][1] < f_min or len(early) == len(full)
+            for t in sorted({f_min, (f_min + 1) / 2, 1.0} | {f for f in fids if f >= f_min}):
+                picked, fid = bench._pick(early, t)
+                ref, ref_fid = bench._pick(full, t)
+                assert fid == ref_fid
+                assert picked.truncation_log == ref.truncation_log
+        assert min(lengths) < len(full)  # the stop did cut the schedule short
+
+    def test_default_runs_to_product_state(self):
+        target = bench.generate(bench.TargetSpec("dense_random", 5, {"seed": 9}))
+        traj = bench.greedy_trajectory(target)
+        assert traj[-1][0].bond_dims == (1,) * 4
+        assert mps.next_truncation(traj[-1][0]) is None
+
+
+class TestEntropyOncePerSpec:
+    @pytest.fixture
+    def entropy_calls(self, monkeypatch):
+        calls = []
+        original = mps.mean_normalized_bipartite_entropy
+
+        def counted(target):
+            calls.append(target)
+            return original(target)
+
+        monkeypatch.setattr(mps, "mean_normalized_bipartite_entropy", counted)
+        return calls
+
+    def test_eval_spec(self, entropy_calls):
+        spec = bench.TargetSpec("sparse_random", 6, {"seed": 4, "sparsity": 0.7})
+        records = bench._eval_spec((spec, (0.9, 0.95, 0.99)))
+        assert len(entropy_calls) == 1
+        assert {r.entropy for r in records} == {
+            mps.mean_normalized_bipartite_entropy(entropy_calls[0]).mean
+        }
+
+    def test_sweep(self, entropy_calls):
+        target = bench.generate(bench.TargetSpec("normal", 5))
+        bench.sweep_to_threshold(target, 0.95)
+        assert len(entropy_calls) == 1
+
+
 class TestSweep:
     def test_threshold_respected(self):
         target = bench.generate(bench.TargetSpec("dense_random", 6, {"seed": 11}))

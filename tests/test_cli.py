@@ -48,6 +48,16 @@ class TestDecompose:
             == cli.EXIT_IO
         )
 
+    @pytest.mark.parametrize("amps", ["[1, NaN]", "[0, 0]", "[0, 0, Infinity, 0]"])
+    def test_nonfinite_or_zero_input_rejected(self, amps, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(amps)
+        out = tmp_path / "state.json"
+        code = cli.main(["decompose", "--input", str(path), "--output", str(out)])
+        assert code == cli.EXIT_BAD_INPUT
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_unnormalized_input_warns_and_normalizes(self, tmp_path, capsys):
         path = tmp_path / "raw.json"
         path.write_text("[3, 0, 0, 4]")

@@ -42,6 +42,30 @@ class TestSvd:
         assert np.array_equal(a.u, b.u)
         assert np.array_equal(a.vh, b.vh)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gauge_fix_matches_column_loop(self, data):
+        rows = data.draw(st.integers(1, 40))
+        cols = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        m = random_complex(rng, rows, cols)
+        if data.draw(st.booleans()):
+            m = np.round(m)  # integer entries: tied magnitudes, zero columns
+        res = linalg.svd(m)
+        u, _, vh = np.linalg.svd(m, full_matrices=False)
+        u, vh = np.ascontiguousarray(u), np.ascontiguousarray(vh)
+        for k in range(u.shape[1]):  # the column-by-column gauge fix
+            col = u[:, k]
+            pivot = int(np.argmax(np.abs(col)))
+            a = col[pivot]
+            if a != 0:
+                phase = a / abs(a)
+                u[:, k] = col / phase
+                u[pivot, k] = abs(a)
+                vh[k, :] *= phase
+        assert np.array_equal(res.u, u)
+        assert np.array_equal(res.vh, vh)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidMatrix):
             linalg.svd(np.array([[np.nan, 0], [0, 1]]))

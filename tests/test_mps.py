@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import bell, ghz, random_product_state, random_state
-from mpsprep import mps
+from mpsprep import bench, mps
 from mpsprep.errors import (
     CorruptMps,
     DimensionMismatch,
     InfeasibleRanks,
+    InvalidMatrix,
     NotNormalized,
     StaleStep,
 )
@@ -208,6 +211,60 @@ class TestTruncation:
             assert gap <= dropped_sq + 1e-9
 
 
+class TestStoredSpectra:
+    @staticmethod
+    def assert_matches_reference(state):
+        reference = mps.bond_spectra(state)
+        assert len(state.spectra) == len(reference)
+        for stored, ref in zip(state.spectra, reference):
+            assert stored.shape == ref.shape
+            assert np.max(np.abs(stored - ref)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equal_bond_spectra_along_schedule(self, data):
+        q = data.draw(st.integers(2, 7))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        n = 2**q
+        if data.draw(st.booleans()):  # dense
+            amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        else:  # sparse
+            amps = np.zeros(n, dtype=complex)
+            nnz = data.draw(st.integers(1, n))
+            amps[rng.choice(n, size=nnz, replace=False)] = 1.0 - rng.random(nnz)
+        target = mps.AmplitudeVector.from_array(amps, normalize=True)
+        caps = data.draw(st.lists(st.integers(1, 4), min_size=q - 1, max_size=q - 1))
+        try:
+            capped = mps.decompose(target, rank_caps=caps)
+        except InfeasibleRanks:
+            assume(False)
+        for state in (mps.decompose(target), capped):
+            self.assert_matches_reference(state)
+            while (step := mps.next_truncation(state)) is not None:
+                state = mps.apply_truncation(state, step)
+                self.assert_matches_reference(state)
+
+    def test_deserialized_state_recomputes(self, rng):
+        state = mps.decompose(random_state(5, rng))
+        back = mps.mps_from_obj(json.loads(json.dumps(mps.mps_to_obj(state))))
+        assert back.spectra is None
+        a, b = mps.next_truncation(back), mps.next_truncation(state)
+        assert (a.bond_index, a.old_rank) == (b.bond_index, b.old_rank)
+        assert a.dropped_relative_sigma == pytest.approx(
+            b.dropped_relative_sigma, abs=1e-12
+        )
+
+    def test_exact_tie_goes_to_leftmost_bond(self):
+        # bonds 4 and 7 have the same ratio in exact arithmetic; rounding
+        # puts bond 7's last bit below bond 4's
+        spec = bench.TargetSpec(
+            "sparse_random", 10, {"seed": 115815301, "sparsity": 0.994140625}
+        )
+        state = mps.decompose(bench.generate(spec))
+        assert mps.next_truncation(state).bond_index == 4
+        assert mps.next_truncation(mps.MpsState(cores=state.cores)).bond_index == 4
+
+
 class TestFidelity:
     def test_self(self, rng):
         v = random_state(5, rng)
@@ -274,6 +331,22 @@ class TestEntropy:
             mps.mean_normalized_bipartite_entropy(
                 mps.AmplitudeVector.from_array([1, 0])
             )
+
+
+class TestAmplitudeVector:
+    @pytest.mark.parametrize("bad", [[1, np.nan], [np.inf, 0], [0, 1j * np.nan, 0, 0]])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(InvalidMatrix):
+            mps.AmplitudeVector.from_array(bad)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_zero_norm_rejected(self, normalize):
+        with pytest.raises(NotNormalized):
+            mps.AmplitudeVector.from_array([0, 0, 0, 0], normalize=normalize)
+
+    def test_normalize(self):
+        av = mps.AmplitudeVector.from_array([3, 4j], normalize=True)
+        assert np.array_equal(av.amps, np.array([3, 4j]) / 5)
 
 
 class TestStateValidation:
