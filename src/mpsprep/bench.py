@@ -319,24 +319,25 @@ def records_to_csv(records: list[BenchRecord]) -> str:
     return out.getvalue()
 
 
+def records_to_obj(records: list[BenchRecord]) -> list[dict]:
+    return [
+        {
+            "kind": r.spec.kind,
+            "num_qubits": r.spec.num_qubits,
+            "params": {k: r.spec.params[k] for k in sorted(r.spec.params)},
+            "entropy": float(format(r.entropy, ".9g")),
+            "method": r.method,
+            "threshold": float(format(r.threshold, ".9g")),
+            "achieved_fidelity": float(format(r.achieved_fidelity, ".9g")),
+            "entangling_cost": r.entangling_cost,
+            "depth_estimate": r.depth_estimate,
+            "width_histogram": {str(k): v for k, v in sorted(r.width_histogram.items())},
+            "truncation_count": r.truncation_count,
+            "feasible": r.feasible,
+        }
+        for r in records
+    ]
+
+
 def records_to_json(records: list[BenchRecord]) -> str:
-    return json.dumps(
-        [
-            {
-                "kind": r.spec.kind,
-                "num_qubits": r.spec.num_qubits,
-                "params": {k: r.spec.params[k] for k in sorted(r.spec.params)},
-                "entropy": float(format(r.entropy, ".9g")),
-                "method": r.method,
-                "threshold": float(format(r.threshold, ".9g")),
-                "achieved_fidelity": float(format(r.achieved_fidelity, ".9g")),
-                "entangling_cost": r.entangling_cost,
-                "depth_estimate": r.depth_estimate,
-                "width_histogram": {str(k): v for k, v in sorted(r.width_histogram.items())},
-                "truncation_count": r.truncation_count,
-                "feasible": r.feasible,
-            }
-            for r in records
-        ],
-        indent=2,
-    )
+    return json.dumps(records_to_obj(records), indent=2)

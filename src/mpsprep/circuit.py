@@ -195,9 +195,7 @@ def circuit_to_obj(c: Circuit) -> dict:
             {
                 "start_qubit": g.start_qubit,
                 "width": g.width,
-                "matrix": [
-                    [float(z.real), float(z.imag)] for z in g.matrix.reshape(-1)
-                ],
+                "matrix": mpslib._encode_complex(g.matrix.reshape(-1)),
             }
             for g in c.gates
         ],
@@ -205,22 +203,20 @@ def circuit_to_obj(c: Circuit) -> dict:
     }
 
 
-def circuit_from_obj(obj: dict) -> Circuit:
-    if obj.get("schema") != CIRCUIT_SCHEMA:
-        raise CorruptMps(f"unexpected circuit schema {obj.get('schema')!r}")
-    gates = []
-    for g in obj["gates"]:
-        dim = 2 ** int(g["width"])
-        flat = np.array([complex(re, im) for re, im in g["matrix"]], dtype=complex)
-        gates.append(
-            GateOp(
-                start_qubit=int(g["start_qubit"]),
-                width=int(g["width"]),
-                matrix=flat.reshape(dim, dim),
-            )
+def circuit_from_obj(obj) -> Circuit:
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != CIRCUIT_SCHEMA:
+        raise CorruptMps(f"unexpected circuit schema {schema!r}")
+    try:
+        gates = []
+        for g in obj["gates"]:
+            dim = 2 ** int(g["width"])
+            matrix = mpslib._decode_complex(g["matrix"], 1).reshape(dim, dim)
+            gates.append(GateOp(int(g["start_qubit"]), int(g["width"]), matrix))
+        return Circuit(
+            num_qubits=int(obj["num_qubits"]),
+            gates=tuple(gates),
+            metadata=dict(obj.get("metadata", {})),
         )
-    return Circuit(
-        num_qubits=int(obj["num_qubits"]),
-        gates=tuple(gates),
-        metadata=dict(obj.get("metadata", {})),
-    )
+    except (LookupError, TypeError, ValueError) as exc:
+        raise CorruptMps(f"malformed circuit object: {exc!r}") from exc

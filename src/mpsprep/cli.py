@@ -39,15 +39,13 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _write_json(path: str | None, obj) -> None:
+    # Compact, one-shot dumps: only this form runs CPython's C encoder.
+    _write_text(path, json.dumps(obj, separators=(",", ":")) + "\n")
+
+
 def _load_amplitudes(path: str) -> mpslib.AmplitudeVector:
-    obj = _read_json(path)
-    values = obj["amps"] if isinstance(obj, dict) else obj
-    if not isinstance(values, list) or not values:
-        raise BadInput(f"{path}: expected a non-empty JSON array of amplitudes")
-    n = len(values)
-    if n & (n - 1):
-        raise BadInput(f"{path}: length {n} is not a power of two")
-    av = mpslib.amplitude_from_obj(obj)
+    av = mpslib.amplitude_from_obj(_read_json(path))
     if abs(av.norm - 1.0) > mpslib.NORM_TOL:
         print(
             f"warning: input norm {av.norm:.9g} != 1, normalizing", file=sys.stderr
@@ -63,7 +61,7 @@ def _g(x: float) -> str:
 def cmd_decompose(args) -> int:
     target = _load_amplitudes(args.input)
     state = mpslib.decompose(target)
-    _write_text(args.output, json.dumps(mpslib.mps_to_obj(state), indent=2) + "\n")
+    _write_json(args.output, mpslib.mps_to_obj(state))
     print(f"qubits: {target.num_qubits}")
     print(f"bond_dims: {list(state.bond_dims)}")
     if target.num_qubits >= 2:
@@ -75,7 +73,7 @@ def cmd_decompose(args) -> int:
 def cmd_synthesize(args) -> int:
     state = mpslib.mps_from_obj(_read_json(args.input))
     circ = circlib.synthesize(state)
-    _write_text(args.output, json.dumps(circlib.circuit_to_obj(circ), indent=2) + "\n")
+    _write_json(args.output, circlib.circuit_to_obj(circ))
     print(f"gates: {len(circ.gates)}")
     print(f"widths: {[g.width for g in circ.gates]}")
     print(f"entangling_cost: {circ.entangling_cost_estimate}")
@@ -92,11 +90,7 @@ def cmd_simulate(args) -> int:
         lines += [f"{i},{_g(p)}" for i, p in enumerate(probs)]
         _write_text(args.output, "\n".join(lines) + "\n")
     else:
-        _write_text(
-            args.output,
-            json.dumps({"probabilities": [float(_g(p)) for p in probs]}, indent=2)
-            + "\n",
-        )
+        _write_json(args.output, {"probabilities": [float(_g(p)) for p in probs]})
     if args.target:
         target = _load_amplitudes(args.target)
         print(f"fidelity: {_g(simlib.verify(circ, target))}")
@@ -108,13 +102,12 @@ def cmd_sweep(args) -> int:
         raise BadInput(f"--fidelity {args.fidelity} outside (0, 1]")
     target = _load_amplitudes(args.input)
     circ, record = benchlib.sweep_to_threshold(target, args.fidelity)
-    _write_text(args.output, json.dumps(circlib.circuit_to_obj(circ), indent=2) + "\n")
-    record_obj = json.loads(benchlib.records_to_json([record]))[0]
+    _write_json(args.output, circlib.circuit_to_obj(circ))
     record_path = args.record
     if record_path is None and args.output not in (None, "-"):
         record_path = args.output + ".record.json"
     if record_path:
-        _write_text(record_path, json.dumps(record_obj, indent=2) + "\n")
+        _write_json(record_path, benchlib.records_to_obj([record])[0])
     print(f"threshold: {_g(args.fidelity)}")
     print(f"achieved_fidelity: {_g(record.achieved_fidelity)}")
     print(f"entangling_cost: {record.entangling_cost}")
@@ -138,13 +131,11 @@ def cmd_bench(args) -> int:
         specs = [benchlib.TargetSpec(args.corpus, args.qubits, {})]
     records = benchlib.compare(specs, thresholds, jobs=args.jobs)
     if args.format == "csv":
-        text = f"# seed={args.seed}\n" + benchlib.records_to_csv(records)
+        table = benchlib.records_to_csv(records)
+        _write_text(args.output, f"# seed={args.seed}\n" + table)
     else:
-        text = json.dumps(
-            {"seed": args.seed, "records": json.loads(benchlib.records_to_json(records))},
-            indent=2,
-        ) + "\n"
-    _write_text(args.output, text)
+        rows = benchlib.records_to_obj(records)
+        _write_json(args.output, {"seed": args.seed, "records": rows})
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ class InfeasibleRanks(MpsPrepError):
 
 
 class CorruptMps(MpsPrepError):
-    """Core shapes or bond dimensions of an MPS are inconsistent."""
+    """An MPS, circuit or amplitude object is inconsistent or malformed."""
 
 
 class StaleStep(MpsPrepError):

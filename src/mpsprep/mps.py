@@ -16,7 +16,7 @@ order in which bonds may be truncated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import (
 )
 
 NORM_TOL = 1e-10
-CANONICAL_TOL = 1e-10
 #: Singular-value ratios closer than this count as tied in next_truncation.
 TIE_TOL = 1e-12
 
@@ -61,16 +60,29 @@ class AmplitudeVector:
             raise DimensionMismatch(f"length {amps.size} is not a power of two")
         if not np.all(np.isfinite(amps)):
             raise InvalidMatrix("amplitudes contain NaN or Inf entries")
-        norm = np.linalg.norm(amps)
-        if not 0 < norm < math.inf:  # zero, or over/underflowed in the sum
-            raise NotNormalized(f"amplitude norm {float(norm)!r} cannot be normalized")
+        unit, _ = _scaled(amps)
+        norm = np.linalg.norm(unit)
+        if norm == 0:
+            raise NotNormalized("amplitude norm 0.0 cannot be normalized")
         if normalize:
-            amps = amps / norm
+            amps = unit / norm
         return cls(num_qubits=q, amps=amps)
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """Euclidean norm; inf only when it exceeds the largest float."""
+        unit, exp = _scaled(self.amps)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.linalg.norm(unit), exp))
+
+
+def _scaled(amps: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(amps * 2**-e, e)``, the largest real or imaginary part scaled into
+    [0.5, 1) so that no sum of squares over- or underflows.  The power-of-two
+    scaling is exact: norms and quotients match the unscaled ones bitwise."""
+    parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64)
+    exp = int(np.frexp(np.max(np.abs(parts)))[1])
+    return np.ldexp(parts, -exp).view(complex), exp
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,6 @@ def reconstruct(mps: MpsState) -> AmplitudeVector:
 
 def verify_right_canonical(mps: MpsState) -> float:
     """Max-norm residual of the right-orthonormality relations."""
-    worst = 0.0
     first = mps.cores[0]
     worst = abs(float(np.sum(np.abs(first) ** 2)) - 1.0)
     for core in mps.cores[1:]:
@@ -384,37 +395,51 @@ def mean_normalized_bipartite_entropy(target: AmplitudeVector) -> EntropyReport:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange (complex numbers as [re, im] pairs)
+# JSON interchange: one codec (_encode_complex, _decode_complex) carries every
+# complex array as bit-exact [re, im] pairs; malformed objects raise CorruptMps.
 # ---------------------------------------------------------------------------
 
 MPS_SCHEMA = "mpsprep-mps/1"
 AMPS_SCHEMA = "mpsprep-amplitudes/1"
 
 
-def _c2pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _encode_complex(a: np.ndarray) -> list:
+    """Nested lists of [re, im] Python floats, one pair per entry of ``a``."""
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
-def _pair2c(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    raise CorruptMps(f"cannot parse complex value {v!r}")
+def _decode_complex(values, ndim: int) -> np.ndarray:
+    """``ndim``-dimensional complex array from nested lists of [re, im] pairs."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise CorruptMps(f"cannot parse complex array: {exc}") from exc
+    if arr.dtype.kind not in "biuf" or arr.shape[ndim:] != (2,):
+        raise CorruptMps(f"not {ndim}-d [re, im] number pairs: {arr.dtype} {arr.shape}")
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def amplitude_to_obj(av: AmplitudeVector) -> dict:
     return {
         "schema": AMPS_SCHEMA,
         "num_qubits": av.num_qubits,
-        "amps": [_c2pair(z) for z in av.amps],
+        "amps": _encode_complex(av.amps),
     }
 
 
 def amplitude_from_obj(obj, normalize: bool = False) -> AmplitudeVector:
-    """Accepts either the schema dict or a bare JSON array of numbers/pairs."""
+    """Accepts either the schema dict or a bare JSON array whose entries are
+    real numbers, [re, im] pairs, or a mix of both."""
+    if isinstance(obj, dict) and "amps" not in obj:
+        raise CorruptMps("amplitude object has no 'amps' array")
     values = obj["amps"] if isinstance(obj, dict) else obj
-    amps = [_pair2c(v) for v in values]
+    try:
+        amps = np.asarray(values)
+    except ValueError:  # numbers mixed with [re, im] pairs
+        pairs = [v if isinstance(v, list) else [v, 0] for v in values]
+        amps = _decode_complex(pairs, 1)
+    if amps.ndim != 1 or amps.dtype.kind not in "biufc":  # pairs, or rejected
+        amps = _decode_complex(amps, 1)
     return AmplitudeVector.from_array(amps, normalize=normalize)
 
 
@@ -424,43 +449,30 @@ def mps_to_obj(mps: MpsState) -> dict:
         "num_qubits": mps.num_qubits,
         "bond_dims": list(mps.bond_dims),
         "right_canonical": mps.right_canonical,
-        "cores": [
-            [[_c2pair(z) for z in row] for row in core.reshape(core.shape[0], -1)]
-            for core in mps.cores
-        ],
-        "truncation_log": [
-            {
-                "bond_index": t.bond_index,
-                "old_rank": t.old_rank,
-                "new_rank": t.new_rank,
-                "dropped_relative_sigma": t.dropped_relative_sigma,
-                "local_frobenius_error": t.local_frobenius_error,
-            }
-            for t in mps.truncation_log
-        ],
+        "cores": [_encode_complex(c.reshape(c.shape[0], -1)) for c in mps.cores],
+        "truncation_log": [asdict(t) for t in mps.truncation_log],
     }
 
 
-def mps_from_obj(obj: dict) -> MpsState:
-    if obj.get("schema") != MPS_SCHEMA:
-        raise CorruptMps(f"unexpected MPS schema {obj.get('schema')!r}")
-    dims = [1] + list(obj["bond_dims"]) + [1]
-    cores = []
-    for n, rows in enumerate(obj["cores"]):
-        flat = np.array([[_pair2c(z) for z in row] for row in rows], dtype=complex)
-        cores.append(flat.reshape(dims[n], 2, dims[n + 1]))
-    log = tuple(
-        TruncationStep(
-            bond_index=t["bond_index"],
-            old_rank=t["old_rank"],
-            new_rank=t["new_rank"],
-            dropped_relative_sigma=t["dropped_relative_sigma"],
-            local_frobenius_error=t["local_frobenius_error"],
+def mps_from_obj(obj) -> MpsState:
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != MPS_SCHEMA:
+        raise CorruptMps(f"unexpected MPS schema {schema!r}")
+    try:
+        dims = [1, *(int(d) for d in obj["bond_dims"]), 1]
+        cores = tuple(
+            _decode_complex(rows, 2).reshape(dims[n], 2, dims[n + 1])
+            for n, rows in enumerate(obj["cores"])
         )
-        for t in obj.get("truncation_log", [])
-    )
+        names = [f.name for f in fields(TruncationStep)]
+        log = tuple(
+            TruncationStep(**{k: t[k] for k in names})
+            for t in obj.get("truncation_log", [])
+        )
+    except (LookupError, TypeError, ValueError) as exc:
+        raise CorruptMps(f"malformed MPS object: {exc!r}") from exc
     return MpsState(
-        cores=tuple(cores),
+        cores=cores,
         right_canonical=bool(obj.get("right_canonical", True)),
         truncation_log=log,
     )

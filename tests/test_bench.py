@@ -274,6 +274,7 @@ class TestTableOutput:
     def test_json_parses(self):
         records = self.make_records()
         rows = json.loads(bench.records_to_json(records))
+        assert rows == bench.records_to_obj(records)
         assert len(rows) == len(records)
         for row in rows:
             assert set(row) == set(bench.CSV_COLUMNS.split(","))

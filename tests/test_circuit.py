@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import bell, ghz, random_product_state, random_state
 from mpsprep import circuit, mps, sim
-from mpsprep.errors import NotCanonical, NotUnitary
+from mpsprep.errors import CorruptMps, NotCanonical, NotUnitary
 
 
 class TestGateOp:
@@ -205,6 +205,23 @@ class TestSerialization:
             assert ga.start_qubit == gb.start_qubit
             assert np.array_equal(ga.matrix, gb.matrix)
         assert sim.verify(back, target) == pytest.approx(1.0, abs=1e-11)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda g: g.pop("width"),
+            lambda g: g.pop("matrix"),
+            lambda g: g["matrix"].pop(),  # one pair short
+            lambda g: g.update(matrix=[["a", 0]] * len(g["matrix"])),
+            lambda g: g.update(width=-1),
+        ],
+    )
+    def test_malformed_gate_rejected(self, edit):
+        obj = json.loads(json.dumps(circuit.circuit_to_obj(circuit.synthesize(
+            mps.decompose(bell())))))
+        edit(obj["gates"][0])
+        with pytest.raises(CorruptMps):
+            circuit.circuit_from_obj(obj)
 
     def test_bell_json(self):
         circ = circuit.synthesize(mps.decompose(bell()))

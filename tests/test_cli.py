@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_state
-from mpsprep import cli, mps
+from conftest import bell, random_state
+from mpsprep import circuit, cli, mps
 
 
 def write_amps(path, target):
@@ -221,3 +222,114 @@ class TestEntropy:
         out = capsys.readouterr().out
         assert "cut 1: 1" in out
         assert "mean: 1" in out
+
+
+
+def _bell_circuit_obj():
+    return circuit.circuit_to_obj(circuit.synthesize(mps.decompose(bell())))
+
+
+def _short_core_mps():
+    # bond_dims [2] needs a 1 x 4 first core; this one is 1 x 2
+    return {"schema": mps.MPS_SCHEMA, "num_qubits": 2, "bond_dims": [2],
+            "cores": [[[[1, 0], [0, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+
+
+def _gate_without_width():
+    obj = _bell_circuit_obj()
+    del obj["gates"][0]["width"]
+    return obj
+
+
+def _gate_one_pair_short():
+    obj = _bell_circuit_obj()
+    obj["gates"][0]["matrix"].pop()
+    return obj
+
+
+class TestSchemaErrors:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("synthesize", _short_core_mps),
+            ("simulate", _gate_without_width),
+            ("simulate", _gate_one_pair_short),
+            ("decompose", lambda: {"schema": mps.AMPS_SCHEMA}),
+        ],
+    )
+    def test_exit_2_without_traceback_or_output(self, command, payload, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload()))
+        out = tmp_path / "out"
+        code = cli.main([command, "--input", str(path), "--output", str(out)])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestExtremeScale:
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_huge_and_tiny_inputs_normalize(self, scale, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([scale, scale]))
+        out = tmp_path / "state.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["decompose", "--input", str(path), "--output", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "normalizing" in err and "inf" not in err
+        state = mps.mps_from_obj(json.loads(out.read_text()))
+        amps = mps.reconstruct(state).amps
+        assert np.allclose(amps, [2**-0.5, 2**-0.5], rtol=1e-15, atol=0)
+
+
+class TestJsonOutput:
+    def test_every_json_file_is_one_line(self, tmp_path, capsys):
+        # One compact line per file: json.dumps without indent, the form that
+        # CPython serializes with its C encoder.
+        amps = write_amps(tmp_path / "t.json", random_state(4, np.random.default_rng(3)))
+        mps_path, circ_path = str(tmp_path / "mps.json"), str(tmp_path / "circ.json")
+        commands = [
+            ["decompose", "--input", amps, "--output", mps_path],
+            ["synthesize", "--input", mps_path, "--output", circ_path],
+            ["simulate", "--input", circ_path, "--format", "json",
+             "--output", str(tmp_path / "probs.json")],
+            ["sweep", "--input", amps, "--fidelity", "0.9",
+             "--output", str(tmp_path / "sweep.json")],
+            ["bench", "--qubits", "4", "--count", "2", "--thresholds", "0.9",
+             "--jobs", "1", "--format", "json", "--output", str(tmp_path / "table.json")],
+        ]
+        for argv in commands:
+            assert cli.main(argv) == 0
+        written = sorted(p.name for p in tmp_path.glob("*.json") if p.name != "t.json")
+        assert written == ["circ.json", "mps.json", "probs.json", "sweep.json",
+                           "sweep.json.record.json", "table.json"]
+        for name in written:
+            text = (tmp_path / name).read_text()
+            assert text.endswith("\n") and text.count("\n") == 1, name
+            json.loads(text)
+
+    def test_indented_files_still_load(self, tmp_path, capsys):
+        amps = write_amps(tmp_path / "t.json", random_state(4, np.random.default_rng(5)))
+        paths = {n: str(tmp_path / n) for n in
+                 ("mps.json", "mps2.json", "circ.json", "circ2.json", "p.csv", "p2.csv")}
+
+        def indent(src, dst):  # rewrite a file the way earlier versions wrote it
+            text = json.dumps(json.loads(open(src).read()), indent=2)
+            assert "\n  " in text
+            open(dst, "w").write(text + "\n")
+
+        assert cli.main(["decompose", "--input", amps, "--output", paths["mps.json"]]) == 0
+        indent(paths["mps.json"], paths["mps2.json"])
+        for mps_name, circ_name in (("mps.json", "circ.json"), ("mps2.json", "circ2.json")):
+            argv = ["synthesize", "--input", paths[mps_name], "--output", paths[circ_name]]
+            assert cli.main(argv) == 0
+        assert open(paths["circ.json"]).read() == open(paths["circ2.json"]).read()
+        indent(paths["circ.json"], paths["circ2.json"])
+        for circ_name, probs in (("circ.json", "p.csv"), ("circ2.json", "p2.csv")):
+            argv = ["simulate", "--input", paths[circ_name], "--output", paths[probs],
+                    "--target", amps]
+            assert cli.main(argv) == 0
+        assert open(paths["p.csv"]).read() == open(paths["p2.csv"]).read()

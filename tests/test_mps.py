@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import bell, ghz, random_product_state, random_state
 from mpsprep import bench, mps
@@ -348,6 +349,28 @@ class TestAmplitudeVector:
         av = mps.AmplitudeVector.from_array([3, 4j], normalize=True)
         assert np.array_equal(av.amps, np.array([3, 4j]) / 5)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1.7e308, 5e-324])
+    def test_huge_and_tiny_vectors_normalize(self, scale):
+        av = mps.AmplitudeVector.from_array([scale, scale], normalize=True)
+        assert np.allclose(av.amps, [2**-0.5, 2**-0.5], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_norm_of_huge_and_tiny_vectors(self, scale):
+        av = mps.AmplitudeVector.from_array([scale, -scale])
+        assert av.norm == pytest.approx(2**0.5 * scale, rel=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-150, 150))
+    def test_scaling_matches_plain_division(self, q, seed, log_scale):
+        # Power-of-two scaling is exact, so where the plain sum of squares
+        # neither overflows nor underflows both normalizations agree bitwise.
+        rng = np.random.default_rng(seed)
+        v = (rng.normal(size=2**q) + 1j * rng.normal(size=2**q)) * 10.0**log_scale
+        plain = np.linalg.norm(v)
+        av = mps.AmplitudeVector.from_array(v, normalize=True)
+        assert av.amps.tobytes() == (v / plain).tobytes()
+        assert mps.AmplitudeVector.from_array(v).norm == plain
+
 
 class TestStateValidation:
     def test_eq7_enforced_for_canonical(self):
@@ -398,3 +421,75 @@ class TestSerialization:
     def test_schema_checked(self):
         with pytest.raises(CorruptMps):
             mps.mps_from_obj({"schema": "bogus", "cores": []})
+
+
+_EDGE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+class TestComplexCodec:
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(
+        np.complex128,
+        hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+        elements=st.builds(complex, _EDGE_FLOATS, _EDGE_FLOATS),
+    ))
+    def test_json_roundtrip_is_bit_exact(self, a):
+        text = json.dumps(mps._encode_complex(a), separators=(",", ":"))
+        back = mps._decode_complex(json.loads(text), a.ndim)
+        assert back.shape == a.shape
+        assert np.array_equal(back, a)
+        assert back.tobytes() == a.tobytes()  # signs of zero included
+
+    def test_encode_matches_per_entry_floats(self, rng):
+        a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        want = [[[float(z.real), float(z.imag)] for z in row] for row in a]
+        assert mps._encode_complex(a) == want
+
+    def test_mixed_numbers_and_pairs_accepted(self):
+        av = mps.amplitude_from_obj([0.5, [0, 0.5], [0.5, 0], -0.5])
+        assert np.array_equal(av.amps, [0.5, 0.5j, 0.5, -0.5])
+
+    def test_pairs_and_bare_numbers_agree(self, rng):
+        v = rng.normal(size=8)
+        obj = mps.amplitude_to_obj(mps.AmplitudeVector.from_array(v))
+        bare = mps.amplitude_from_obj(v.tolist())
+        assert bare.amps.tobytes() == mps.amplitude_from_obj(obj).amps.tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [["a", 0], [None, 0], [[1, 0], [0]], [[1, 0], ["x", 0]], [[1, 0, 0]],
+         [[[1, 0], [0, 0]]], 5, {"schema": mps.AMPS_SCHEMA}],
+    )
+    def test_bad_amplitudes_rejected(self, values):
+        with pytest.raises(CorruptMps):
+            mps.amplitude_from_obj(values)
+
+    @pytest.mark.parametrize("rows", [[["a", "b"]], [[None, 0]], [[[1, 0]], [[0]]]])
+    def test_bad_core_values_rejected(self, rows):
+        obj = mps.mps_to_obj(mps.decompose(bell()))
+        obj["cores"][0] = rows
+        with pytest.raises(CorruptMps):
+            mps.mps_from_obj(obj)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda o: o.pop("cores"),
+            lambda o: o.pop("bond_dims"),
+            lambda o: o.update(bond_dims=[2, 2]),
+            lambda o: o.update(bond_dims="x"),
+            lambda o: o["cores"][0][0].pop(),  # first core one pair short
+            lambda o: o.update(truncation_log=[{"bond_index": 1}]),
+        ],
+    )
+    def test_malformed_mps_rejected(self, edit):
+        obj = json.loads(json.dumps(mps.mps_to_obj(mps.decompose(bell()))))
+        edit(obj)
+        with pytest.raises(CorruptMps):
+            mps.mps_from_obj(obj)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(CorruptMps):
+            mps.mps_from_obj([1, 2])
