@@ -113,7 +113,10 @@ def generate(spec: TargetSpec) -> mpslib.AmplitudeVector:
         return mpslib.AmplitudeVector.from_array(amps, normalize=True)
     else:  # file
         with open(p["path"]) as fh:
-            return mpslib.amplitude_from_obj(json.load(fh), normalize=True)
+            av = mpslib.amplitude_from_obj(json.load(fh), normalize=True)
+        if av.num_qubits != q:
+            raise InvalidSpec(f"file holds {av.num_qubits} qubits, spec asks {q}")
+        return av
 
     total = density.sum()
     if total <= 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, mps as mpslib
-from .errors import CorruptMps, NotCanonical, NotUnitary, SpanError
+from .errors import CorruptMps, DimensionMismatch, NotCanonical, NotUnitary, SpanError
 
 UNITARY_TOL = 1e-10
 
@@ -66,6 +66,8 @@ class Circuit:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.num_qubits < 1:
+            raise DimensionMismatch(f"register of {self.num_qubits} qubits, need >= 1")
         for g in self.gates:
             if g.last_qubit > self.num_qubits:
                 raise SpanError(

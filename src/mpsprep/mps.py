@@ -11,6 +11,10 @@ orthonormal rows under the grouping (left; physical, right) and the first
 core has unit Frobenius norm.  Right-canonical states satisfy the bond
 inequality left <= 2 * right at every core, which also constrains the
 order in which bonds may be truncated.
+
+A right-canonical state is in *Schmidt-basis* form when, for every n, cores
+1..n contract to orthogonal columns whose norms are bond n's Schmidt
+coefficients in descending order.  States carrying ``spectra`` are in it.
 """
 
 from __future__ import annotations
@@ -111,9 +115,8 @@ class MpsState:
     cores: tuple[np.ndarray, ...]
     right_canonical: bool = True
     truncation_log: tuple[TruncationStep, ...] = field(default_factory=tuple)
-    #: Schmidt coefficients of every bond, left by the canonicalization
-    #: sweep that built the state; None when unknown (a deserialized or
-    #: hand-built state), in which case :func:`bond_spectra` recomputes them.
+    #: Schmidt coefficients of every bond; a state carrying them is in
+    #: Schmidt-basis form.  None for a deserialized or hand-built state.
     spectra: tuple[np.ndarray, ...] | None = field(
         default=None, compare=False, repr=False
     )
@@ -182,7 +185,8 @@ def _right_canonicalize(
     state is in mixed-canonical form about bond n - 1, so the singular
     values of that SVD, divided by the final norm, are the Schmidt spectrum
     of the normalized state at that bond (Schollwoeck, Ann. Phys. 326, 96
-    (2011), section 4).  Returns the cores and these spectra, bond 1 first.
+    (2011), section 4).  Returns these spectra, bond 1 first, and the cores,
+    in Schmidt-basis form because the sweep only transforms bonds to its left.
     """
     cores = list(cores)
     spectra: list[np.ndarray] = []
@@ -309,51 +313,64 @@ def next_truncation(mps: MpsState) -> TruncationStep | None:
     return best
 
 
+def _schmidt_form(mps: MpsState) -> tuple[list[np.ndarray], tuple[np.ndarray, ...]]:
+    """Cores and spectra of ``mps`` in Schmidt-basis right-canonical form."""
+    if mps.spectra is not None:
+        return list(mps.cores), mps.spectra
+    cores = list(mps.cores)  # left-orthonormalize with pruning, then sweep back
+    for n in range(len(cores) - 1):
+        res = linalg.svd(cores[n].reshape(-1, cores[n].shape[2]))
+        k = max(res.rank, 1)
+        cores[n] = res.u[:, :k].reshape(-1, 2, k)
+        cores[n + 1] = np.tensordot(res.s[:k, None] * res.vh[:k], cores[n + 1], 1)
+    return _right_canonicalize(cores)
+
+
 def apply_truncation(mps: MpsState, step: TruncationStep) -> MpsState:
     """Drop the smallest Schmidt coefficient at one bond and renormalize.
 
-    The result is right-canonical; ranks at other bonds may shrink too when
-    the truncation leaves exact zeros behind.
+    One pass of Q - 2 SVDs over the Schmidt-basis form (Vidal, PRL 91, 147902
+    (2003); Schollwoeck, Ann. Phys. 326, 96 (2011), section 4).  The drop cuts
+    the last basis vector of bond i.  Right of it, the SVD of core n weighted
+    by bond n - 1's new coefficients gives bond n's spectrum and a rotation
+    that keeps the cores right-orthonormal; left of it, the SVD of core n
+    weighted by bond n - 1's old spectrum re-orthonormalizes it.  Other ranks
+    may shrink when the drop leaves exact zeros.
     """
     q = mps.num_qubits
     i = step.bond_index - 1
     if not 0 <= i < q - 1:
         raise StaleStep(f"bond {step.bond_index} out of range")
-    dims = mps.bond_dims
-    if dims[i] != step.old_rank or step.new_rank != step.old_rank - 1:
+    if mps.bond_dims[i] != step.old_rank or step.new_rank != step.old_rank - 1:
         raise StaleStep(
-            f"bond {step.bond_index} has dimension {dims[i]}, "
+            f"bond {step.bond_index} has dimension {mps.bond_dims[i]}, "
             f"step expects {step.old_rank} -> {step.new_rank}"
         )
-
-    # Left-to-right pruning sweep over the whole chain: the drop at bond i
-    # can leave exact zeros at bonds further right, visible only with the
-    # left context in hand.
-    cores = list(mps.cores)
-    carry = np.ones((1, 1), dtype=complex)
-    for n in range(q - 1):
-        core = np.tensordot(carry, cores[n], axes=([1], [0]))
-        left, _, right = core.shape
-        res = linalg.svd(core.reshape(left * 2, right))
-        k = max(res.rank, 1)
-        if n == i:
-            if res.s.size < step.old_rank:
-                raise StaleStep("singular spectrum no longer matches the step")
-            sigma = float(res.s[step.old_rank - 1])
-            if abs(sigma - step.local_frobenius_error) > 1e-6 * max(res.s[0], 1.0):
-                raise StaleStep("singular spectrum no longer matches the step")
-            k = step.new_rank
-        cores[n] = res.u[:, :k].reshape(left, 2, k)
-        carry = res.s[:k, None] * res.vh[:k]
-    cores[q - 1] = np.tensordot(carry, cores[q - 1], axes=([1], [0]))
-
-    cores, spectra = _right_canonicalize(cores)
-    return MpsState(
-        cores=tuple(cores),
-        right_canonical=True,
-        truncation_log=mps.truncation_log + (step,),
-        spectra=spectra,
-    )
+    cores, spectra = _schmidt_form(mps)
+    s = spectra[i]
+    sigma = float(s[step.new_rank]) if s.size > step.new_rank else 0.0  # pruned zero
+    if abs(sigma - step.local_frobenius_error) > 1e-6 * max(s[0], 1.0):
+        raise StaleStep("singular spectrum no longer matches the step")
+    new = list(spectra)
+    new[i] = w = s[: step.new_rank]
+    cores[i], cores[i + 1] = cores[i][:, :, : w.size], cores[i + 1][: w.size]
+    for n in range(i + 1, q - 1):
+        res = linalg.svd((w[:, None, None] * cores[n]).reshape(-1, cores[n].shape[2]))
+        vh = res.vh[: max(res.rank, 1)]
+        cores[n] = cores[n] @ vh.conj().T
+        cores[n + 1] = np.tensordot(vh, cores[n + 1], 1)
+        new[n] = w = res.s[: len(vh)]
+    for n in range(i, 0, -1):
+        m = cores[n].reshape(cores[n].shape[0], -1)
+        res = linalg.svd(spectra[n - 1][:, None] * m)
+        vh = res.vh[: max(res.rank, 1)]
+        cores[n] = vh.reshape(len(vh), 2, -1)
+        cores[n - 1] = cores[n - 1] @ (m @ vh.conj().T)  # = u s / sigma, not divided
+        new[n - 1] = res.s[: len(vh)]
+    norm = float(np.linalg.norm(cores[0]))
+    cores[0] = cores[0] / norm
+    log = mps.truncation_log + (step,)
+    return MpsState(tuple(cores), True, log, tuple(x / norm for x in new))
 
 
 def fidelity(a: AmplitudeVector, b: AmplitudeVector) -> float:

@@ -42,7 +42,10 @@ class StateVector:
 
 
 def zero_state(num_qubits: int) -> StateVector:
-    amps = np.zeros(2**num_qubits, dtype=complex)
+    try:
+        amps = np.zeros(2**num_qubits, dtype=complex)
+    except (ValueError, MemoryError) as exc:  # beyond numpy's size limit or RAM
+        raise DimensionMismatch(f"cannot allocate {num_qubits} qubits: {exc}") from exc
     amps[0] = 1.0
     return StateVector(num_qubits=num_qubits, amps=amps)
 

@@ -45,6 +45,14 @@ class TestGenerate:
         b = bench.generate(bench.TargetSpec("dense_random", 5, {"seed": 2}))
         assert not np.array_equal(a.amps, b.amps)
 
+    def test_file_must_match_num_qubits(self, tmp_path):
+        path = tmp_path / "amps.json"
+        path.write_text(json.dumps([1.0] * 8))
+        target = bench.generate(bench.TargetSpec("file", 3, {"path": str(path)}))
+        assert target.num_qubits == 3
+        with pytest.raises(InvalidSpec):
+            bench.generate(bench.TargetSpec("file", 5, {"path": str(path)}))
+
     def test_bad_kind(self):
         with pytest.raises(InvalidSpec):
             bench.generate(bench.TargetSpec("cauchy", 4))

@@ -268,6 +268,28 @@ class TestSchemaErrors:
         assert not out.exists()
 
 
+def _circuit_with_register(num_qubits, gates):
+    obj = _bell_circuit_obj()
+    obj["num_qubits"] = num_qubits
+    obj["gates"] = obj["gates"][-1:] if gates else []
+    return obj
+
+
+class TestRegisterSize:
+    # 64 qubits is beyond numpy's array size limit, so nothing is allocated
+    @pytest.mark.parametrize("num_qubits", [64, -1, 0])
+    @pytest.mark.parametrize("gates", [True, False])
+    def test_exit_2_without_traceback_or_output(self, num_qubits, gates, tmp_path, capsys):
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(_circuit_with_register(num_qubits, gates)))
+        out = tmp_path / "probs.csv"
+        code = cli.main(["simulate", "--input", str(path), "--output", str(out)])
+        assert code == cli.EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestExtremeScale:
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_huge_and_tiny_inputs_normalize(self, scale, tmp_path, capsys):

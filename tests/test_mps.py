@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import bell, ghz, random_product_state, random_state
-from mpsprep import bench, mps
+from mpsprep import bench, linalg, mps
 from mpsprep.errors import (
     CorruptMps,
     DimensionMismatch,
@@ -264,6 +264,141 @@ class TestStoredSpectra:
         state = mps.decompose(bench.generate(spec))
         assert mps.next_truncation(state).bond_index == 4
         assert mps.next_truncation(mps.MpsState(cores=state.cores)).bond_index == 4
+
+
+def _two_sweep_step(state, step):
+    """Reference: the greedy step as a left-to-right pruning sweep with the
+    drop, followed by a whole right-canonicalization sweep (2(Q-1) SVDs)."""
+    q, i = state.num_qubits, step.bond_index - 1
+    cores = list(state.cores)
+    carry = np.ones((1, 1), dtype=complex)
+    for n in range(q - 1):
+        core = np.tensordot(carry, cores[n], axes=([1], [0]))
+        left, _, right = core.shape
+        res = linalg.svd(core.reshape(left * 2, right))
+        k = step.new_rank if n == i else max(res.rank, 1)
+        cores[n] = res.u[:, :k].reshape(left, 2, k)
+        carry = res.s[:k, None] * res.vh[:k]
+    cores[q - 1] = np.tensordot(carry, cores[q - 1], axes=([1], [0]))
+    cores, spectra = mps._right_canonicalize(cores)
+    return mps.MpsState(
+        cores=tuple(cores),
+        truncation_log=state.truncation_log + (step,),
+        spectra=spectra,
+    )
+
+
+def _draw_target(data, q):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    n = 2**q
+    kind = data.draw(st.sampled_from(["dense", "complex", "sparse", "sparse_complex"]))
+    if kind.startswith("sparse"):
+        amps = np.zeros(n, dtype=complex)
+        nnz = data.draw(st.integers(1, n))
+        amps[rng.choice(n, size=nnz, replace=False)] = 1.0 - rng.random(nnz)
+        if kind == "sparse_complex":
+            amps *= np.exp(2j * np.pi * rng.random(n))
+    else:
+        amps = rng.normal(size=n) + (kind == "complex") * 1j * rng.normal(size=n)
+    return mps.AmplitudeVector.from_array(amps, normalize=True)
+
+
+def _schedule(state, step_fn=mps.apply_truncation, roundtrip=False):
+    """States along the greedy schedule from ``state`` down to a product state."""
+    states = [state]
+    while True:
+        if roundtrip:
+            state = mps.mps_from_obj(json.loads(json.dumps(mps.mps_to_obj(state))))
+            assert state.spectra is None
+        if (step := mps.next_truncation(state)) is None:
+            return states
+        state = step_fn(state, step)
+        states.append(state)
+
+
+class TestSchmidtBasisForm:
+    @staticmethod
+    def assert_schmidt_basis(state):
+        # the columns of every left block are orthogonal with norms equal
+        # to the stored spectrum, independently of bond_spectra
+        block = np.ones((1, 1), dtype=complex)
+        for core, s in zip(state.cores[:-1], state.spectra):
+            block = (block @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+            gram = block.conj().T @ block
+            assert np.max(np.abs(gram - np.diag(s**2))) < 1e-12
+            assert np.all(np.diff(s) <= 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_invariant_along_schedule(self, data):
+        q = data.draw(st.integers(2, 7))
+        target = _draw_target(data, q)
+        caps = data.draw(st.lists(st.integers(1, 4), min_size=q - 1, max_size=q - 1))
+        try:
+            capped = mps.decompose(target, rank_caps=caps)
+        except InfeasibleRanks:
+            assume(False)
+        for start in (mps.decompose(target), capped):
+            for state in _schedule(start):
+                self.assert_schmidt_basis(state)
+                assert mps.verify_right_canonical(state) < 1e-12
+
+    @staticmethod
+    def assert_same_schedule(a, b, target):
+        assert [s.bond_dims for s in a] == [s.bond_dims for s in b]
+        assert [t.bond_index for t in a[-1].truncation_log] == [
+            t.bond_index for t in b[-1].truncation_log
+        ]
+        for x, y in zip(a, b):
+            fa = mps.fidelity(mps.reconstruct(x), target)
+            fb = mps.fidelity(mps.reconstruct(y), target)
+            assert abs(fa - fb) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_same_schedule_as_two_sweep_reference(self, data):
+        q = data.draw(st.integers(2, 7))
+        target = _draw_target(data, q)
+        start = mps.decompose(target)
+        self.assert_same_schedule(
+            _schedule(start), _schedule(start, _two_sweep_step), target
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_deserialized_state_same_schedule(self, data):
+        q = data.draw(st.integers(2, 7))
+        target = _draw_target(data, q)
+        start = mps.decompose(target)
+        self.assert_same_schedule(
+            _schedule(start), _schedule(start, roundtrip=True), target
+        )
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_one_step_is_q_minus_2_svds(self, q, rng, monkeypatch):
+        state = mps.decompose(random_state(q, rng))
+        calls = []
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda m: calls.append(1) or svd(m))
+        for i, (r, s) in enumerate(zip(state.bond_dims, state.spectra)):
+            left = state.bond_dims[i - 1] if i else 1
+            if r < 2 or left > 2 * (r - 1):
+                continue
+            step = mps.TruncationStep(i + 1, r, r - 1, float(s[-1] / s[0]), float(s[-1]))
+            calls.clear()
+            mps.apply_truncation(state, step)
+            assert len(calls) == q - 2
+
+    def test_redundant_hand_built_bond(self):
+        # |00> written with a bond of dimension 2 whose second vector is
+        # unused: the step drops the zero coefficient
+        cores = (np.array([[[1, 0], [0, 0]]]), np.eye(2).reshape(2, 2, 1))
+        state = mps.MpsState(cores=cores)
+        step = mps.next_truncation(state)
+        assert (step.bond_index, step.local_frobenius_error) == (1, 0.0)
+        out = mps.apply_truncation(state, step)
+        assert out.bond_dims == (1,)
+        assert np.allclose(mps.reconstruct(out).amps, [1, 0, 0, 0])
 
 
 class TestFidelity:

@@ -32,6 +32,11 @@ class TestStateVector:
         with pytest.raises(DimensionMismatch):
             sim.StateVector(2, np.array([1.0, 0.0]))
 
+    def test_unallocatable_register_rejected(self):
+        # numpy refuses 2**64 entries before allocating anything
+        with pytest.raises(DimensionMismatch):
+            sim.zero_state(64)
+
 
 class TestApplyGate:
     def test_hadamard_on_first_qubit(self):
